@@ -83,20 +83,12 @@ var paperAlgos = []struct {
 	{"CaoAppro2", coskq.CaoAppro2},
 }
 
-// BenchmarkOwnerExact measures the intra-query parallel speedup of the
-// owner-driven exact search across worker counts (DESIGN.md §10;
-// workers=1 is the serial path). Meaningful speedups need GOMAXPROCS ≥
-// the worker count — on a single-core runner all counts time alike.
+// BenchmarkOwnerExact times the serial owner-driven exact search on
+// Hotel at |q.ψ| = 9 (the search is serial; DESIGN.md §10).
 func BenchmarkOwnerExact(b *testing.B) {
 	e := hotelEngine()
 	queries := benchQueries(e, 32, 9, 900)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e.Parallelism = workers
-			defer func() { e.Parallelism = 0 }()
-			runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
-		})
-	}
+	runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
 }
 
 // BenchmarkT1DatasetStats regenerates the dataset statistics table's

@@ -83,7 +83,6 @@ func main() {
 		budget    = flag.Int("budget", 0, "exact-search node budget per query, over-budget queries get 503 (0 = unlimited)")
 		slowlog   = flag.Int("slowlog", 0, "slow-query log capacity for /debug/slowlog (0 = default, negative disables)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		workers   = flag.Int("workers", 0, "worker goroutines per exact search (0 = GOMAXPROCS, 1 = serial)")
 		degrade   = flag.String("degrade", "fail", "anytime-answer policy when budget/deadline trips a search: fail, incumbent, or fallback")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently solving /query+/topk requests, excess queues then sheds with 429 (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue depth beyond -max-inflight (0 = shed immediately when saturated)")
@@ -141,7 +140,6 @@ func main() {
 		}
 		rt := &shard.Router{
 			Backends:     backends,
-			Workers:      *workers,
 			NodeBudget:   *budget,
 			ShardTimeout: *shardTO,
 		}
@@ -160,7 +158,6 @@ func main() {
 			logger.Error("partitioning dataset", "err", err)
 			os.Exit(1)
 		}
-		rt.Workers = *workers
 		rt.NodeBudget = *budget
 		rt.ShardTimeout = *shardTO
 		handler = server.NewScatterGather(rt, opts)
@@ -170,7 +167,6 @@ func main() {
 		ds := loadData(logger, *data)
 		eng := coskq.NewEngine(ds, 0)
 		eng.NodeBudget = *budget
-		eng.Parallelism = *workers
 		eng.Metrics = core.NewEngineMetrics(reg)
 		eng.EnableNNCache(*nnCache) // after Metrics: hit/miss counters register on reg
 		if *live {

@@ -69,7 +69,6 @@ func main() {
 		fanout  = flag.Int("fanout", 0, "IR-tree fanout (0 = default)")
 		svgOut  = flag.String("svg", "", "also render the answer to this SVG file")
 		explain = flag.Bool("explain", false, "print the per-phase execution trace after the answer")
-		workers = flag.Int("workers", 0, "worker goroutines per exact search (0 = GOMAXPROCS, 1 = serial)")
 		budget  = flag.Int("budget", 0, "exact-search node budget (0 = unlimited)")
 		degrade = flag.String("degrade", "fail", "when -budget trips: fail, incumbent (best set so far), or fallback (approximate answer)")
 		nnCache = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries (0 = disabled)")
@@ -112,7 +111,6 @@ func main() {
 
 	fmt.Printf("dataset %s: %s\n", ds.Name, ds.Stats())
 	eng := coskq.NewEngine(ds, *fanout)
-	eng.Parallelism = *workers
 	eng.NodeBudget = *budget
 	eng.Degrade = policy
 	eng.EnableNNCache(*nnCache)

@@ -115,10 +115,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !expands {
 			return
 		}
-		// Satisfaction descends into function literals: a worker-pool
-		// producer that polls inside a deferred or spawned closure (the
-		// ownerExactPar pattern) keeps the loop's latency bounded because
-		// the pool shares one global node counter.
+		// Satisfaction descends into function literals: a loop that
+		// polls inside a closure it runs each iteration (a deferred
+		// recover shield, a visitor callback) still bounds its
+		// cancellation latency.
 		satisfied := false
 		ast.Inspect(body, func(m ast.Node) bool {
 			if satisfied {

@@ -22,11 +22,6 @@ import (
 	"coskq/internal/kwds"
 )
 
-// alphaCombine is cost_α of the two owner components.
-func alphaCombine(alpha, ownerDist, maxPair float64) float64 {
-	return alpha*ownerDist + (1-alpha)*maxPair
-}
-
 func checkAlpha(alpha float64) error {
 	if !(alpha > 0 && alpha <= 1) {
 		return fmt.Errorf("coskq: alpha %v outside (0, 1]", alpha)
@@ -53,7 +48,7 @@ func (e *Engine) EvalCostAlpha(alpha float64, q geo.Point, set []dataset.ObjectI
 			}
 		}
 	}
-	return alphaCombine(alpha, maxD, maxPair)
+	return ownerCost{alpha: alpha}.combine(maxD, maxPair)
 }
 
 // SolveAlpha answers q under cost_α with the distance owner-driven
@@ -80,139 +75,18 @@ func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, 
 
 // alphaSeed builds N(q), its cost_α and d_f.
 func (e *Engine) alphaSeed(q Query, alpha float64) (set []dataset.ObjectID, c, df float64, err error) {
-	ids, ok := e.Tree.NNSet(q.Loc, q.Keywords)
-	if !ok {
-		return nil, 0, 0, ErrInfeasible
-	}
-	for _, id := range ids {
-		if d := q.Loc.Dist(e.DS.Object(id).Loc); d > df {
-			df = d
-		}
-	}
-	return ids, e.EvalCostAlpha(alpha, q.Loc, ids), df, nil
-}
-
-// alphaExact is ownerExact generalized to cost_α.
-func (e *Engine) alphaExact(q Query, alpha float64) (res Result, err error) {
-	defer recoverBudget(&err)
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
-	seed, curCost, df, err := e.alphaSeed(q, alpha)
+	var stats Stats
+	set, _, df, err = e.nnSeed(q, MaxSum, &stats)
 	if err != nil {
-		return Result{}, err
+		return nil, 0, 0, err
 	}
-	curSet := canonical(seed)
-	stats := Stats{SetsEvaluated: 1}
-
-	var pool []cand
-	bitCands := make([][]int32, qi.Size())
-
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
-	it.Limit(curCost / alpha)
-	for {
-		o, dof, ok := it.Next()
-		if !ok {
-			break
-		}
-		if alpha*dof >= curCost {
-			break // cost_α(S) ≥ α·d(owner, q)
-		}
-		mask := qi.MaskOf(o.Keywords)
-		idx := int32(len(pool))
-		pool = append(pool, cand{o: o, d: dof, mask: mask})
-		for b := 0; b < qi.Size(); b++ {
-			if mask&(1<<uint(b)) != 0 {
-				bitCands[b] = append(bitCands[b], idx)
-			}
-		}
-		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
-		if dof < df {
-			continue
-		}
-		stats.OwnersTried++
-		set, c := e.alphaBestWithOwner(qi, alpha, pool, bitCands, int(idx), curCost, &stats)
-		if set != nil && c < curCost {
-			curSet, curCost = canonical(set), c
-			it.Limit(curCost / alpha)
-		}
-	}
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: MaxSum, Stats: stats}, nil
+	return set, e.EvalCostAlpha(alpha, q.Loc, set), df, nil
 }
 
-// alphaBestWithOwner mirrors bestWithOwner for cost_α.
-func (e *Engine) alphaBestWithOwner(qi *kwds.QueryIndex, alpha float64, pool []cand, bitCands [][]int32, ownerIdx int, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
-	owner := pool[ownerIdx]
-	dof := owner.d
-	if qi.Full()&^owner.mask == 0 {
-		stats.SetsEvaluated++
-		if c := alphaCombine(alpha, dof, 0); c < bound {
-			return []dataset.ObjectID{owner.o.ID}, c
-		}
-		return nil, 0
-	}
-	if alphaCombine(alpha, dof, 0) >= bound {
-		return nil, 0
-	}
-
-	var (
-		bestSet  []dataset.ObjectID
-		bestCost = bound
-		chosen   = make([]int32, 0, qi.Size())
-	)
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
-		if covered == qi.Full() {
-			stats.SetsEvaluated++
-			if c := alphaCombine(alpha, dof, maxPair); c < bestCost {
-				bestCost = c
-				bestSet = append(bestSet[:0], owner.o.ID)
-				for _, ci := range chosen {
-					bestSet = append(bestSet, pool[ci].o.ID)
-				}
-			}
-			return
-		}
-		branchBit, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if covered&(1<<uint(b)) != 0 {
-				continue
-			}
-			if n := len(bitCands[b]); n < branchLen {
-				branchBit, branchLen = b, n
-			}
-		}
-		for _, ci := range bitCands[branchBit] {
-			c := pool[ci]
-			if c.mask&^covered == 0 {
-				continue
-			}
-			np := maxPair
-			if d := c.o.Loc.Dist(owner.o.Loc); d > np {
-				np = d
-			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
-					np = d
-				}
-			}
-			if alphaCombine(alpha, dof, np) >= bestCost {
-				continue
-			}
-			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	dfs(owner.mask, 0)
-
-	if bestSet == nil {
-		return nil, 0
-	}
-	return bestSet, bestCost
+// alphaExact is ownerExact generalized to cost_α: the same owner loop
+// and cover enumeration, with the ring break at d(o,q) ≥ bound/α.
+func (e *Engine) alphaExact(q Query, alpha float64) (Result, error) {
+	return e.ownerBest(q, ownerCost{kind: MaxSum, alpha: alpha}, "alpha_exact")
 }
 
 // alphaAppro is ownerAppro generalized to cost_α: per owner, cover each
@@ -226,6 +100,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 	}
 	curSet := canonical(seed)
 	stats := Stats{SetsEvaluated: 1}
+	ac := ownerCost{alpha: alpha}
 
 	var pool []cand
 	bitCands := make([][]int32, qi.Size())
@@ -259,7 +134,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 		need := qi.Full() &^ ownerMask
 		if need == 0 {
 			stats.SetsEvaluated++
-			if c := alphaCombine(alpha, dof, 0); c < curCost {
+			if c := ac.combine(dof, 0); c < curCost {
 				curSet, curCost = []dataset.ObjectID{o.ID}, c
 			}
 			continue
@@ -285,7 +160,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 			if bestDist > maxToOwner {
 				maxToOwner = bestDist
 			}
-			if alphaCombine(alpha, dof, maxToOwner) >= curCost {
+			if ac.combine(dof, maxToOwner) >= curCost {
 				feasible = false
 				break
 			}

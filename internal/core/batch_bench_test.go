@@ -11,15 +11,13 @@ import (
 func benchBatchFixture(n, batch int) (*Engine, []Query) {
 	rng := rand.New(rand.NewSource(77))
 	e := genEngine(rng, n, 24, 4)
-	e.Parallelism = 1
 	return e, skewedBatch(rng, batch, 24)
 }
 
 // BenchmarkSolveBatchGrouped compares one grouped batch execution
 // (cluster sharing + engine NN cache) against the ungrouped baseline —
-// the same queries solved independently one by one. Single worker and
-// Parallelism=1 on both sides, so the delta is purely the shared work,
-// not concurrency. nncache-hit-rate reports the cache's share of NN
+// the same queries solved independently one by one. A single worker on
+// both sides, so the delta is purely the shared work, not concurrency. nncache-hit-rate reports the cache's share of NN
 // resolutions in the grouped run.
 func BenchmarkSolveBatchGrouped(b *testing.B) {
 	const batchSize = 64

@@ -129,7 +129,6 @@ func TestSolveBatchCtxCancelBetweenItems(t *testing.T) {
 	// sink is detached because labeled counters format their keys.
 	al := *e
 	al.Metrics = nil
-	al.Parallelism = 1
 	q := randQuery(rng, 8, 2)
 	if _, err := al.Solve(q, MaxSum, OwnerExact); err != nil {
 		t.Fatalf("warmup: %v", err)

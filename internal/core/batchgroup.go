@@ -163,8 +163,7 @@ type nnObs struct {
 
 // nnShare is the cluster-local keyword-NN share: a flat observation list
 // consulted by lookupNN ahead of the engine-level cache. It is per-call
-// state of the cluster's (serial) member loop and is NOT goroutine-safe;
-// parallel-search worker clones null it out (parallel.go).
+// state of the cluster's (serial) member loop and is NOT goroutine-safe.
 type nnShare struct {
 	obs []nnObs
 }
@@ -328,7 +327,6 @@ func (e *Engine) buildClusterScan(ctx context.Context, queries []Query, cl batch
 	probe.ownerSrc = nil
 	probe.warmBound = 0
 	probe.tr = nil
-	probe.shared = nil
 	probe.any = nil
 	if ctx != nil && ctx.Done() != nil {
 		probe.ctx = ctx

@@ -92,7 +92,6 @@ func compareBatchItems(t *testing.T, label string, got, want []BatchItem) {
 func TestSolveBatchGroupedMatchesIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
 	queries := skewedBatch(rng, 32, 10)
 	requireGrouping(t, e, queries)
 
@@ -113,36 +112,12 @@ func TestSolveBatchGroupedMatchesIndependent(t *testing.T) {
 	}
 }
 
-// TestSolveBatchGroupedMatchesParallel: the grouped batch composes with
-// intra-query parallelism — warm bounds seed the shared atomic bound and
-// worker clones drop the cluster share — without changing answers.
-func TestSolveBatchGroupedMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
-	queries := skewedBatch(rng, 24, 10)
-	requireGrouping(t, e, queries)
-
-	for _, cost := range []CostKind{MaxSum, Dia} {
-		ref := make([]BatchItem, len(queries))
-		for i, q := range queries {
-			r, err := e.Solve(q, cost, OwnerExact)
-			ref[i] = BatchItem{Result: r, Err: err}
-		}
-		par := *e
-		par.Parallelism = 2
-		compareBatchItems(t, cost.String()+"/par2",
-			par.SolveBatch(queries, cost, OwnerExact, 2), ref)
-	}
-}
-
 // TestSolveBatchWarmStartsApplied: a hot cluster of near-identical
 // queries chains warm starts (observable through the metrics sink), and
 // the warm-started answers still match the cold independent run.
 func TestSolveBatchWarmStartsApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
 	e.Metrics = NewEngineMetrics(nil)
 	queries := skewedBatch(rng, 32, 10)
 	requireGrouping(t, e, queries)
@@ -165,7 +140,6 @@ func TestSolveBatchWarmStartsApplied(t *testing.T) {
 func TestSolveBatchNNCacheOnOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
 	queries := skewedBatch(rng, 32, 10)
 
 	cached := *e
@@ -265,7 +239,6 @@ func TestSolveBatchPreCancelled(t *testing.T) {
 func TestSolveBatchGroupedInfeasibleMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	e := genEngine(rng, 300, 10, 3)
-	e.Parallelism = 1
 	queries := skewedBatch(rng, 20, 10)
 	// Poison one hot-cluster member with an uncoverable keyword while
 	// keeping it Jaccard-similar to its mates: add the impossible keyword

@@ -131,11 +131,8 @@ type kwCand struct {
 	mask kwds.Mask
 }
 
-// caoSearch is Cao-Exact's branch-and-bound state. The serial path runs
-// one caoSearch over the whole tree (sh nil: bestSet/bestCost hold the
-// incumbent); the parallel path runs one per worker, each rooted at a
-// top-level candidate subtree, publishing leaves through the shared
-// incumbent sh (parallel.go).
+// caoSearch is Cao-Exact's branch-and-bound state; bestSet/bestCost hold
+// the incumbent.
 type caoSearch struct {
 	e     *Engine
 	qi    *kwds.QueryIndex
@@ -146,25 +143,8 @@ type caoSearch struct {
 	chosen    []*dataset.Object
 	chosenIDs []dataset.ObjectID
 
-	// Serial incumbent (sh == nil).
 	bestCost float64
 	bestSet  []dataset.ObjectID
-
-	// Parallel coordination (sh != nil): leaves go through sh.offer with
-	// the subtree's top-level candidate index ord as the merge order.
-	sh  *parShared
-	ord int
-}
-
-// bound returns the current pruning bound: the serial incumbent cost, or
-// — in a parallel search — one ulp above the shared incumbent, so an
-// equal-cost set from an earlier-ordered subtree stays findable and the
-// (cost, ord) merge can resolve the tie (see parallel.go).
-func (s *caoSearch) bound() float64 {
-	if s.sh != nil {
-		return math.Nextafter(s.sh.costLoad(), math.Inf(1))
-	}
-	return s.bestCost
 }
 
 // dfs expands the partial set s.chosen (covering covered, with maxD the
@@ -174,12 +154,7 @@ func (s *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 	s.e.chargeNode(s.stats)
 	if covered == s.qi.Full() {
 		s.stats.SetsEvaluated++
-		c := combine(s.cost, maxD, maxPair)
-		if s.sh != nil {
-			if c < s.bound() {
-				s.sh.offer(s.chosenIDs, c, s.ord)
-			}
-		} else if c < s.bestCost {
+		if c := combine(s.cost, maxD, maxPair); c < s.bestCost {
 			s.bestCost = c
 			s.bestSet = canonical(s.chosenIDs)
 			s.e.noteIncumbent(s.bestSet, c, s.cost)
@@ -201,7 +176,7 @@ func (s *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 			s.stats.Prunes[trace.PruneNoNewKeyword]++
 			continue
 		}
-		if kc.d >= s.bound() {
+		if kc.d >= s.bestCost {
 			// ascending distance: every later candidate also exceeds
 			// the bound
 			s.stats.Prunes[trace.PruneDistanceBreak]++
@@ -214,7 +189,7 @@ func (s *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 				np = d
 			}
 		}
-		if combine(s.cost, nd, np) >= s.bound() {
+		if combine(s.cost, nd, np) >= s.bestCost {
 			s.stats.Prunes[trace.PrunePairBound]++
 			continue
 		}
@@ -249,7 +224,6 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 	}
 	curSet, curCost := seedRes.Set, seedRes.Cost
 	stats := Stats{SetsEvaluated: seedRes.Stats.SetsEvaluated, Prunes: seedRes.Stats.Prunes}
-	stats.Workers = 1
 	stats.Phases.Seed = time.Since(start)
 	// The Appro2 seed already noted itself (same per-call holder);
 	// re-register the outer stats so an unwind recovers this run's
@@ -258,8 +232,7 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 
 	// Materialize, per query keyword, the candidate objects containing it
 	// within C(q, curCost), ascending by distance. The lists recycle
-	// through the scratch pool; workers read them only before the join,
-	// so releasing after the search (deferred) is safe.
+	// through the scratch pool.
 	matSp := e.tr.Begin("materialize")
 	matStart := time.Now()
 	scratch := getCaoScratch()
@@ -286,33 +259,16 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 
 	searchSp := e.tr.Begin("bnb_search")
 	searchStart := time.Now()
-	if w := e.parWorkers(); w > 1 {
-		// The root branches on the keyword with the fewest candidates —
-		// the same rule dfs applies — and each of its candidates seeds an
-		// independent subtree for the worker pool.
-		branch, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if n := len(cands[b]); n < branchLen {
-				branch, branchLen = b, n
-			}
-		}
-		stats.Workers = w
-		if searchSp != nil {
-			searchSp.Attr("workers", float64(w))
-		}
-		curSet, curCost = e.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats, w)
-	} else {
-		s := &caoSearch{
-			e: e, qi: qi, cost: cost, cands: cands, stats: &stats,
-			chosen:    scratch.chosen[:0],
-			chosenIDs: scratch.chosenIDs[:0],
-			bestCost:  curCost,
-			bestSet:   curSet,
-		}
-		s.dfs(0, 0, 0)
-		curSet, curCost = s.bestSet, s.bestCost
-		scratch.chosen, scratch.chosenIDs = s.chosen[:0], s.chosenIDs[:0]
+	s := &caoSearch{
+		e: e, qi: qi, cost: cost, cands: cands, stats: &stats,
+		chosen:    scratch.chosen[:0],
+		chosenIDs: scratch.chosenIDs[:0],
+		bestCost:  curCost,
+		bestSet:   curSet,
 	}
+	s.dfs(0, 0, 0)
+	curSet, curCost = s.bestSet, s.bestCost
+	scratch.chosen, scratch.chosenIDs = s.chosen[:0], s.chosenIDs[:0]
 	stats.Phases.Search = time.Since(searchStart)
 	if searchSp != nil {
 		searchSp.Attr("nodes", float64(stats.NodesExpanded))

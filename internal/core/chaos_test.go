@@ -46,7 +46,7 @@ func chaosInvariants(t *testing.T, e *Engine, q Query, cost CostKind, m Method, 
 }
 
 // TestChaosSeededSchedules sweeps seeds, fault kinds, points, methods and
-// worker counts, asserting the invariants for each combination.
+// degrade policies, asserting the invariants for each combination.
 func TestChaosSeededSchedules(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(21))
@@ -55,34 +55,29 @@ func TestChaosSeededSchedules(t *testing.T) {
 	exact := make([]float64, len(queries))
 	for i := range queries {
 		queries[i] = randQuery(rng, 18, 4)
-		ref := *base
-		ref.Parallelism = 1
-		res, err := ref.Solve(queries[i], MaxSum, OwnerExact)
+		res, err := base.Solve(queries[i], MaxSum, OwnerExact)
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}
 		exact[i] = res.Cost
 	}
 
-	points := []fault.Point{fault.RTreeVisit, fault.OwnerEnum, fault.PoolWorker}
+	points := []fault.Point{fault.RTreeVisit, fault.OwnerEnum}
 	kinds := []fault.Kind{fault.KindBudget, fault.KindCancel}
 	methods := []Method{OwnerExact, CaoExact, OwnerAppro}
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, p := range points {
 			for _, k := range kinds {
-				for _, workers := range []int{1, 4} {
-					for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
-						disarm := fault.Arm(seed, fault.Rule{Point: p, Kind: k, After: 3, Prob: 0.05})
-						e := *base
-						e.Parallelism = workers
-						e.Degrade = policy
-						for i, q := range queries {
-							for _, m := range methods {
-								chaosInvariants(t, &e, q, MaxSum, m, exact[i])
-							}
+				for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
+					disarm := fault.Arm(seed, fault.Rule{Point: p, Kind: k, After: 3, Prob: 0.05})
+					e := *base
+					e.Degrade = policy
+					for i, q := range queries {
+						for _, m := range methods {
+							chaosInvariants(t, &e, q, MaxSum, m, exact[i])
 						}
-						disarm()
 					}
+					disarm()
 				}
 			}
 		}
@@ -90,12 +85,10 @@ func TestChaosSeededSchedules(t *testing.T) {
 }
 
 // TestChaosDeterministicSchedule: the same seed and rule produce the
-// same outcome on repeated runs (serial path — parallelism can reorder
-// which owner observes the firing, not whether it fires).
+// same outcome on repeated runs.
 func TestChaosDeterministicSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	e := genEngine(rng, 500, 16, 3)
-	e.Parallelism = 1
 	e.Degrade = DegradeIncumbent
 	q := randQuery(rng, 16, 3)
 
@@ -123,7 +116,6 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 func TestChaosLatencyInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := genEngine(rng, 300, 12, 3)
-	e.Parallelism = 1
 	q := randQuery(rng, 12, 3)
 	want, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {
@@ -154,24 +146,19 @@ func TestChaosCrashNotSwallowed(t *testing.T) {
 	e.Degrade = DegradeIncumbent // must NOT mask the crash
 	q := randQuery(rng, 14, 3)
 
-	for _, workers := range []int{1, 4} {
-		e.Parallelism = workers
-		disarm := fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindPanic, Every: 1, After: 2})
-		func() {
-			defer disarm()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("workers=%d: injected panic was swallowed", workers)
-					return
-				}
-				if _, ok := r.(fault.Crash); !ok {
-					t.Errorf("workers=%d: panic payload %T, want fault.Crash", workers, r)
-				}
-			}()
-			e.Solve(q, MaxSum, OwnerExact)
-		}()
-	}
+	disarm := fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindPanic, Every: 1, After: 2})
+	defer disarm()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Error("injected panic was swallowed")
+			return
+		}
+		if _, ok := r.(fault.Crash); !ok {
+			t.Errorf("panic payload %T, want fault.Crash", r)
+		}
+	}()
+	e.Solve(q, MaxSum, OwnerExact)
 }
 
 // TestChaosMetricsConsistency: under injected budget trips the metrics
@@ -180,7 +167,6 @@ func TestChaosCrashNotSwallowed(t *testing.T) {
 func TestChaosMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	e := genEngine(rng, 600, 16, 4)
-	e.Parallelism = 1
 	e.Degrade = DegradeIncumbent
 	e.Metrics = NewEngineMetrics(nil)
 
@@ -215,7 +201,6 @@ func TestChaosMetricsConsistency(t *testing.T) {
 func TestChaosDisarmedIsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	e := genEngine(rng, 300, 12, 3)
-	e.Parallelism = 1
 	q := randQuery(rng, 12, 3)
 	want, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"coskq/internal/dataset"
 	"coskq/internal/kwds"
+	"coskq/internal/testutil"
 )
 
 // slowQuery returns a query whose brute-force search is astronomically
@@ -182,6 +185,89 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 		}
 		if errA == nil && a.Cost != b.Cost {
 			t.Fatalf("query %d: cost mismatch %v vs %v", i, a.Cost, b.Cost)
+		}
+	}
+}
+
+func equalIDs(a, b []dataset.ObjectID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParallelMatchesSerial: queries running in parallel on one shared
+// engine — the parallelism the engine offers, one goroutine per query —
+// return the identical cost, canonical set and effort counters as the
+// same queries run one by one. The searches share only the scratch pools
+// and the engine's read-only indexes, so any per-call state leaking
+// between concurrent executions shows up here (run it under -race).
+func TestParallelMatchesSerial(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	for _, seed := range []int64{3, 17, 99} {
+		rng := rand.New(rand.NewSource(seed))
+		e := genEngine(rng, 900, 25, 4)
+		queries := make([]Query, 12)
+		for i := range queries {
+			queries[i] = randQuery(rng, 25, 2+i%3)
+		}
+		for _, cost := range []CostKind{MaxSum, Dia} {
+			for _, m := range []Method{OwnerExact, CaoExact} {
+				t.Run(fmt.Sprintf("seed%d/%v/%v", seed, cost, m), func(t *testing.T) {
+					want := make([]Result, len(queries))
+					wantErr := make([]error, len(queries))
+					for i, q := range queries {
+						want[i], wantErr[i] = e.Solve(q, cost, m)
+					}
+					for _, goroutines := range []int{2, 4, 8} {
+						got := make([][]Result, goroutines)
+						gotErr := make([][]error, goroutines)
+						var wg sync.WaitGroup
+						for g := 0; g < goroutines; g++ {
+							got[g] = make([]Result, len(queries))
+							gotErr[g] = make([]error, len(queries))
+							wg.Add(1)
+							go func(g int) {
+								defer wg.Done()
+								// Each goroutine starts at a different query so
+								// the executions interleave differently.
+								for k := range queries {
+									i := (k + g) % len(queries)
+									got[g][i], gotErr[g][i] = e.Solve(queries[i], cost, m)
+								}
+							}(g)
+						}
+						wg.Wait()
+						for g := range got {
+							for i := range queries {
+								r, err := got[g][i], gotErr[g][i]
+								if !errors.Is(err, wantErr[i]) {
+									t.Fatalf("q%d goroutines=%d: err = %v, serial err = %v", i, goroutines, err, wantErr[i])
+								}
+								if err != nil {
+									continue
+								}
+								w := want[i]
+								if r.Cost != w.Cost || !equalIDs(r.Set, w.Set) {
+									t.Fatalf("q%d goroutines=%d: (%v, %v), serial (%v, %v)", i, goroutines, r.Set, r.Cost, w.Set, w.Cost)
+								}
+								if r.Stats.NodesExpanded != w.Stats.NodesExpanded ||
+									r.Stats.CandidatesSeen != w.Stats.CandidatesSeen ||
+									r.Stats.OwnersTried != w.Stats.OwnersTried ||
+									r.Stats.SetsEvaluated != w.Stats.SetsEvaluated ||
+									r.Stats.Prunes != w.Stats.Prunes {
+									t.Fatalf("q%d goroutines=%d: effort %+v, serial %+v", i, goroutines, r.Stats, w.Stats)
+								}
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"coskq/internal/dataset"
@@ -178,25 +177,9 @@ type searchCanceled struct{ err error }
 const cancelPollMask = 255
 
 // chargeNode counts one expanded search node against the budget and,
-// on a cancellable call, periodically polls the context. Inside a
-// parallel search (e.shared non-nil) the budget is enforced against the
-// shared atomic counter, so it stays global across workers: the sum of
-// worker expansions trips the budget exactly where one serial execution
-// of the same effort would.
+// on a cancellable call, periodically polls the context.
 func (e *Engine) chargeNode(stats *Stats) {
 	stats.NodesExpanded++
-	if sh := e.shared; sh != nil {
-		n := sh.nodes.Add(1)
-		if e.NodeBudget > 0 && n > int64(e.NodeBudget) {
-			panic(budgetExceeded{})
-		}
-		if e.ctx != nil && n&cancelPollMask == 0 {
-			if err := e.ctx.Err(); err != nil {
-				panic(searchCanceled{err})
-			}
-		}
-		return
-	}
 	if e.NodeBudget > 0 && stats.NodesExpanded > e.NodeBudget {
 		panic(budgetExceeded{})
 	}
@@ -253,7 +236,6 @@ type Stats struct {
 	SetsEvaluated  int // feasible sets whose cost was computed
 	NodesExpanded  int // search-tree nodes expanded (exact searches)
 	CandidatesSeen int // relevant objects materialized
-	Workers        int // parallel workers the execution used (≤1: serial)
 
 	// DegradeReason names why a degraded execution was cut short
 	// ("budget", "deadline", "cancelled"); empty for complete answers.
@@ -270,12 +252,9 @@ type Stats struct {
 	Prunes trace.PruneCounts
 }
 
-// merge folds a worker's counters into s. A parallel execution gives
-// every worker its own Stats and merges them at the join, so the totals
-// a caller sees are exact — equal to what one serial execution of the
-// same work would report — while the hot path never contends on shared
-// counters (the node-budget counter, which must be globally exact
-// mid-flight, is the one exception; see chargeNode).
+// merge folds another execution's counters into s: a degraded answer
+// that fell back to an approximation reports the aborted search's effort
+// plus the fallback's.
 func (s *Stats) merge(o *Stats) {
 	s.OwnersTried += o.OwnersTried
 	s.SetsEvaluated += o.SetsEvaluated
@@ -326,13 +305,10 @@ type Engine struct {
 	// unlimited. Set it before issuing queries (it is not synchronized).
 	NodeBudget int
 
-	// Parallelism bounds the worker goroutines one exact search
-	// (OwnerExact and CaoExact under MaxSum/Dia) may use within a single
-	// query: 0 (the default) resolves to GOMAXPROCS, 1 forces the serial
-	// path. Parallel and serial runs return identical costs and identical
-	// canonical answer sets (DESIGN.md §10); only the Stats detail (which
-	// prune fired where) may differ. Set it before issuing queries (it is
-	// not synchronized).
+	// Deprecated: Parallelism is ignored. Every search runs serially on
+	// the calling goroutine (DESIGN.md §10); concurrency comes from
+	// concurrent queries and SolveBatch workers. The field will be
+	// removed once the benchmark under perfbench/ stops setting it.
 	Parallelism int
 
 	// Ablation disables individual pruning rules of the owner-driven
@@ -378,30 +354,21 @@ type Engine struct {
 	// costs one branch and never allocates.
 	tr *trace.Trace
 
-	// shared is the coordination state of a parallel exact search: the
-	// atomic incumbent bound, the global node counter and the failure
-	// slot. It is only ever set on the per-worker engine copies made by
-	// the parallel coordinators (parallel.go), never on a shared Engine.
-	shared *parShared
-
 	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
 	// d_f refinement stop re-walking the IR-tree for keywords already
 	// answered (Cao-Exact seeds via Appro2, which otherwise walks every
-	// keyword NN twice). Per-call state like ctx; not goroutine-safe, so
-	// worker copies null it out.
+	// keyword NN twice). Per-call state like ctx.
 	nnmemo *nnMemo
 
 	// any is the per-call anytime holder: the feasible incumbent and
 	// live Stats the degrade path falls back on when a search is cut
-	// short (degrade.go). Per-call state like ctx and nnmemo; not
-	// goroutine-safe, so worker copies null it out and the coordinator
-	// notes the merged shared incumbent after the join.
+	// short (degrade.go). Per-call state like ctx and nnmemo.
 	any *anytime
 
 	// clusterNN is the cluster-local keyword-NN share of a grouped batch
 	// execution (batchgroup.go): validity-radius observations seeded by
 	// the cluster scan and reused across the cluster's members. Per-call
-	// state like nnmemo; not goroutine-safe, so worker copies null it.
+	// state like nnmemo.
 	clusterNN *nnShare
 
 	// warmBound is a grouped batch's warm-start upper bound: the cost of
@@ -437,15 +404,6 @@ func (e *Engine) ownerIter(q Query, qi *kwds.QueryIndex) ownerSource {
 	return e.Tree.NewRelevantNNIterator(q.Loc, qi)
 }
 
-// parWorkers resolves Parallelism to the worker count a parallel search
-// would use.
-func (e *Engine) parWorkers() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Ablation toggles the owner-driven search's pruning rules off, one by
 // one, to measure what each contributes (DESIGN.md experiment A1).
 type Ablation struct {
@@ -474,7 +432,7 @@ func NewEngine(ds *dataset.Dataset, fanout int) *Engine {
 }
 
 // NewEngineLike builds a fresh engine over ds with the same serving
-// knobs (budget, parallelism, ablation, degrade policy, metrics sink)
+// knobs (budget, ablation, degrade policy, metrics sink)
 // as proto. The epoch layer uses it to rebuild generations: every
 // generation of a live store must answer queries under the policies the
 // operator configured once on the seed engine. The NN cache is NOT
@@ -487,7 +445,6 @@ func NewEngineLike(proto *Engine, ds *dataset.Dataset, fanout int) *Engine {
 		return e
 	}
 	e.NodeBudget = proto.NodeBudget
-	e.Parallelism = proto.Parallelism
 	e.Ablation = proto.Ablation
 	e.Degrade = proto.Degrade
 	e.Metrics = proto.Metrics

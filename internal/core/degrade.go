@@ -13,10 +13,7 @@ package core
 // (noteIncumbent) and register their live Stats (trackStats); when the
 // budget/cancel panic unwinds through recoverBudget, solve consults the
 // holder — the improvements survive the unwind because the holder lives
-// on the per-call engine, not on the unwound stack frames. Parallel
-// searches note the merged shared incumbent after the worker join,
-// before re-raising the parked panic, so worker discoveries are never
-// lost to a degrade.
+// on the per-call engine, not on the unwound stack frames.
 
 import (
 	"context"
@@ -143,9 +140,7 @@ func putAnytime(h *anytime) {
 
 // noteIncumbent publishes a feasible incumbent into the per-call
 // holder. set need not be canonical and may alias caller scratch; it is
-// copied. Only the coordinator goroutine may call this — worker engine
-// copies null the holder out (parallel.go) and publish through the
-// shared incumbent instead, which the coordinator notes after the join.
+// copied.
 func (e *Engine) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKind) {
 	h := e.any
 	if h == nil || len(set) == 0 {
@@ -215,16 +210,14 @@ func (e *Engine) degradeSolve(q Query, cost CostKind, method Method, res Result,
 // fallbackAppro runs the cost function's cheap approximation on a
 // detached engine copy: no node budget, no context (the original is
 // already tripped — the approximation is near-linear, so the overrun is
-// bounded), no parallel pool, no holder. The shield converts any stray
-// unwind (there should be none) into an error instead of escaping.
+// bounded), no holder. The shield converts any stray unwind (there
+// should be none) into an error instead of escaping.
 func (e *Engine) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	fb := *e
 	fb.ctx = nil
 	fb.NodeBudget = 0
-	fb.shared = nil
 	fb.any = nil
-	fb.Parallelism = 1
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)

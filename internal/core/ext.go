@@ -273,6 +273,16 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 	e.noteIncumbent(curSet, curCost, MinMax)
 	stats.SetsEvaluated = 1
 
+	// The cover enumeration is OwnerExact's with the MaxSum combine:
+	// cost = d(o,q) + maxPair for the nearest member o.
+	scratch := getOwnerScratch()
+	s := coverSearch{e: e, stats: &stats, cost: ownerCost{kind: MaxSum}, qi: qi, bound: curCost,
+		chosen: scratch.chosen[:0], best: scratch.bestSet[:0]}
+	defer func() {
+		scratch.chosen, scratch.bestSet = s.chosen[:0], s.best[:0]
+		putOwnerScratch(scratch)
+	}()
+
 	loop := e.tr.Begin("owner_loop")
 	searchStart := time.Now()
 	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
@@ -292,8 +302,7 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 		// Candidates: relevant objects within C(o, curCost − d(o,q)) whose
 		// query distance is at least d(o,q) (o must stay the nearest).
 		ownerMask := qi.MaskOf(o.Keywords)
-		var pool []cand
-		bitCands := make([][]int32, qi.Size())
+		pool, bitCands := scratch.pool[:0], scratch.ensureBits(qi.Size())
 		e.Tree.RelevantInDisk(geo.Circle{C: o.Loc, R: curCost - do}, qi, func(x *dataset.Object, m kwds.Mask) bool {
 			if x.ID == o.ID || q.Loc.Dist(x.Loc) < do {
 				return true
@@ -310,11 +319,13 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 			}
 			return true
 		})
+		scratch.pool = pool
 		stats.CandidatesSeen += len(pool)
 
-		set, c := e.minMaxBestWithOwner(qi, o, do, ownerMask, pool, bitCands, curCost, &stats)
-		if set != nil && c < curCost {
-			curSet, curCost = canonical(set), c
+		s.pool, s.bitCands = pool, bitCands
+		s.run(cand{o: o, d: do, mask: ownerMask})
+		if s.found {
+			curSet, curCost = canonical(s.best), s.bound
 			e.noteIncumbent(curSet, curCost, MinMax)
 			it.Limit(curCost)
 		}
@@ -331,77 +342,6 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 
 	stats.Elapsed = time.Since(start)
 	return Result{Set: curSet, Cost: curCost, Cost2: MinMax, Stats: stats}, nil
-}
-
-// minMaxBestWithOwner enumerates minimal covers of the owner's uncovered
-// keywords over pool with cost lower bound d(o,q) + maxPair(partial).
-func (e *Engine) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object, do float64, ownerMask kwds.Mask, pool []cand, bitCands [][]int32, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
-	need := qi.Full() &^ ownerMask
-	if need == 0 {
-		stats.SetsEvaluated++
-		if do < bound {
-			return []dataset.ObjectID{owner.ID}, do
-		}
-		return nil, 0
-	}
-
-	var (
-		bestSet  []dataset.ObjectID
-		bestCost = bound
-		chosen   = make([]int32, 0, qi.Size())
-	)
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
-		if covered == qi.Full() {
-			stats.SetsEvaluated++
-			if c := do + maxPair; c < bestCost {
-				bestCost = c
-				bestSet = bestSet[:0]
-				bestSet = append(bestSet, owner.ID)
-				for _, ci := range chosen {
-					bestSet = append(bestSet, pool[ci].o.ID)
-				}
-			}
-			return
-		}
-		branch, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if covered&(1<<uint(b)) != 0 {
-				continue
-			}
-			if n := len(bitCands[b]); n < branchLen {
-				branch, branchLen = b, n
-			}
-		}
-		for _, ci := range bitCands[branch] {
-			c := pool[ci]
-			if c.mask&^covered == 0 {
-				continue
-			}
-			np := maxPair
-			if d := c.o.Loc.Dist(owner.Loc); d > np {
-				np = d
-			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
-					np = d
-				}
-			}
-			if do+np >= bestCost {
-				continue
-			}
-			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	dfs(ownerMask, 0)
-
-	if bestSet == nil {
-		return nil, 0
-	}
-	return bestSet, bestCost
 }
 
 // minMaxAppro approximates the MinMax cost with ratio 2: for each

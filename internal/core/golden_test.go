@@ -74,7 +74,6 @@ func TestGoldenOwnerDrivenAnswers(t *testing.T) {
 	}
 	ds := datagen.Generate(datagen.ProfileHotel(7))
 	e := NewEngine(ds, 0)
-	e.Parallelism = 1
 	qs := goldenQueries(e, 16)
 
 	got := make(map[string]string, len(goldenDigests))

@@ -37,8 +37,6 @@ type EngineMetrics struct {
 	queries  *metrics.Counter
 	errs     *metrics.Counter
 	degraded *metrics.Counter
-	parallel *metrics.Counter
-	workers  *metrics.Gauge
 	latency  *metrics.Histogram
 	owners   *metrics.Histogram
 	nodes    *metrics.Histogram
@@ -63,8 +61,6 @@ func NewEngineMetrics(reg *metrics.Registry) *EngineMetrics {
 		queries:  reg.Counter("coskq_queries_total"),
 		errs:     reg.Counter("coskq_query_errors_total"),
 		degraded: reg.Counter("coskq_degraded_queries_total"),
-		parallel: reg.Counter("coskq_parallel_queries_total"),
-		workers:  reg.Gauge("coskq_query_workers"),
 		latency:  reg.Histogram("coskq_query_seconds", latencyBuckets),
 		owners:   reg.Histogram("coskq_query_owners_tried", effortBuckets),
 		nodes:    reg.Histogram("coskq_query_nodes_expanded", effortBuckets),
@@ -152,9 +148,5 @@ func (m *EngineMetrics) recordSolve(cost CostKind, method Method, res Result, er
 	if res.Degraded {
 		m.degraded.Inc()
 		m.reg.Counter(fmt.Sprintf("coskq_degraded_queries_total{reason=%q}", res.Stats.DegradeReason)).Inc()
-	}
-	if w := res.Stats.Workers; w > 1 {
-		m.parallel.Inc()
-		m.workers.Set(float64(w))
 	}
 }

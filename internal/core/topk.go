@@ -18,7 +18,6 @@ import (
 
 	"coskq/internal/dataset"
 	"coskq/internal/kwds"
-	"coskq/internal/trace"
 )
 
 // topKHeap keeps the best k candidate sets found so far, deduplicated by
@@ -51,14 +50,14 @@ func setKey(ids []dataset.ObjectID) string {
 }
 
 // offer inserts a candidate set (already canonical) if it ranks in the
-// top k and was not seen before.
-func (h *topKHeap) offer(set []dataset.ObjectID, cost float64, kind CostKind) {
+// top k and was not seen before, reporting whether it did.
+func (h *topKHeap) offer(set []dataset.ObjectID, cost float64, kind CostKind) bool {
 	key := setKey(set)
 	if h.seen[key] {
-		return
+		return false
 	}
 	if len(h.sets) == h.k && cost >= h.bound() {
-		return
+		return false
 	}
 	h.seen[key] = true
 	h.sets = append(h.sets, Result{Set: set, Cost: cost, Cost2: kind})
@@ -68,6 +67,7 @@ func (h *topKHeap) offer(set []dataset.ObjectID, cost float64, kind CostKind) {
 		delete(h.seen, setKey(evicted.Set))
 		h.sets = h.sets[:h.k]
 	}
+	return true
 }
 
 // TopK returns the k cheapest irredundant feasible sets for q under the
@@ -146,14 +146,15 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	algo := e.tr.Begin("topk")
 	var stats Stats
 	e.trackStats(&stats)
-	seed, seedCost, df, err := e.nnSeed(q, cost, &stats)
+	// The seed's irredundant form may be cheaper than N(q); it is
+	// priced afresh below.
+	seed, _, df, err := e.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return nil, err
 	}
 	stats.SetsEvaluated = 1
 
-	_ = seedCost // the irredundant form may be cheaper; recompute below
 	top := newTopKHeap(k)
 	e.trackTopK(top)
 	verifySp := e.tr.Begin("verify")
@@ -161,47 +162,8 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	top.offer(seedSet, e.EvalCost(cost, q.Loc, seedSet), cost)
 	verifySp.End()
 
-	var pool []cand
-	bitCands := make([][]int32, qi.Size())
-
-	loop := e.tr.Begin("owner_loop")
-	searchStart := time.Now()
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
-	for {
-		it.Limit(top.bound())
-		o, dof, ok := it.Next()
-		if !ok {
-			break
-		}
-		if dof >= top.bound() {
-			stats.Prunes[trace.PruneIncumbentBreak]++
-			break // every further set costs at least d(owner, q)
-		}
-		mask := qi.MaskOf(o.Keywords)
-		idx := int32(len(pool))
-		pool = append(pool, cand{o: o, d: dof, mask: mask})
-		for b := 0; b < qi.Size(); b++ {
-			if mask&(1<<uint(b)) != 0 {
-				bitCands[b] = append(bitCands[b], idx)
-			}
-		}
-		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
-		if dof < df {
-			stats.Prunes[trace.PruneOwnerRing]++
-			continue
-		}
-		stats.OwnersTried++
-		e.allSetsWithOwner(q, qi, cost, pool, bitCands, int(idx), top, &stats)
-	}
-	stats.Phases.Search = time.Since(searchStart)
-	if loop != nil {
-		loop.Attr("candidates", float64(stats.CandidatesSeen))
-		loop.Attr("owners_tried", float64(stats.OwnersTried))
-		loop.Attr("nodes", float64(stats.NodesExpanded))
-		loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-	}
-	loop.End()
+	s := coverSearch{e: e, stats: &stats, cost: ownerCost{kind: cost}, qi: qi, bound: top.bound(), top: top, q: q}
+	e.ownerLoop(q, df, &s)
 	algo.End()
 	// TopKCtx does not route through SolveCtx, so fold the prune counters
 	// into the trace here.
@@ -235,72 +197,4 @@ func irredundant(e *Engine, qi *kwds.QueryIndex, set []dataset.ObjectID) []datas
 		}
 	}
 	return out
-}
-
-// allSetsWithOwner enumerates the irredundant covers owned by
-// pool[ownerIdx] and offers each to the top-k heap, pruning partial sets
-// against the heap's current bound.
-func (e *Engine) allSetsWithOwner(q Query, qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, top *topKHeap, stats *Stats) {
-	owner := pool[ownerIdx]
-	dof := owner.d
-
-	if combine(cost, dof, 0) >= top.bound() {
-		stats.Prunes[trace.PruneOwnerBound]++
-		return
-	}
-	if qi.Full()&^owner.mask == 0 {
-		stats.SetsEvaluated++
-		top.offer([]dataset.ObjectID{owner.o.ID}, combine(cost, dof, 0), cost)
-		return
-	}
-
-	chosen := make([]int32, 0, qi.Size())
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
-		if covered == qi.Full() {
-			set := make([]dataset.ObjectID, 0, len(chosen)+1)
-			set = append(set, owner.o.ID)
-			for _, ci := range chosen {
-				set = append(set, pool[ci].o.ID)
-			}
-			set = irredundant(e, qi, canonical(set))
-			stats.SetsEvaluated++
-			top.offer(set, e.EvalCost(cost, q.Loc, set), cost)
-			return
-		}
-		branchBit, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if covered&(1<<uint(b)) != 0 {
-				continue
-			}
-			if n := len(bitCands[b]); n < branchLen {
-				branchBit, branchLen = b, n
-			}
-		}
-		for _, ci := range bitCands[branchBit] {
-			c := pool[ci]
-			if c.mask&^covered == 0 {
-				stats.Prunes[trace.PruneNoNewKeyword]++
-				continue
-			}
-			np := maxPair
-			if d := c.o.Loc.Dist(owner.o.Loc); d > np {
-				np = d
-			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
-					np = d
-				}
-			}
-			if combine(cost, dof, np) >= top.bound() {
-				stats.Prunes[trace.PrunePairBound]++
-				continue
-			}
-			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	dfs(owner.mask, 0)
 }

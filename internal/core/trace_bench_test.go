@@ -56,10 +56,6 @@ func BenchmarkSolveTraceOn(b *testing.B) {
 func TestTraceDisabledZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := genEngine(rng, 400, 12, 3)
-	// Allocation counts on the parallel path vary with goroutine timing
-	// (how many incumbent improvements install); the invariant under test
-	// is a serial-path property.
-	e.Parallelism = 1
 	q := randQuery(rng, 12, 3)
 	if _, err := e.Solve(q, MaxSum, OwnerExact); err != nil {
 		t.Fatalf("fixture query: %v", err)

@@ -32,7 +32,6 @@ type Point string
 const (
 	RTreeVisit   Point = "rtree.visit"   // IR-tree iterator advance (irtree.Next)
 	OwnerEnum    Point = "core.owner"    // owner enumeration loop in exact searches
-	PoolWorker   Point = "core.worker"   // parallel pool worker task body
 	ServerHandle Point = "server.handle" // HTTP handler entry (query/topk)
 	ShardFanout  Point = "shard.fanout"  // scatter-gather per-shard call body (shard.Router)
 	NNCacheProbe Point = "core.nncache"  // cross-query keyword-NN cache consult (core.lookupNN)

@@ -87,18 +87,18 @@ func TestLatencyRuleSleeps(t *testing.T) {
 }
 
 func TestCrashPayload(t *testing.T) {
-	defer Arm(4, Rule{Point: PoolWorker, Kind: KindPanic, Every: 1})()
+	defer Arm(4, Rule{Point: OwnerEnum, Kind: KindPanic, Every: 1})()
 	defer func() {
 		r := recover()
 		if _, ok := r.(Crash); !ok {
 			t.Fatalf("recover() = %v (%T), want Crash", r, r)
 		}
 	}()
-	Hit(PoolWorker)
+	Hit(OwnerEnum)
 }
 
 func TestConcurrentHitsRace(t *testing.T) {
-	defer Arm(5, Rule{Point: PoolWorker, Kind: KindBudget, Every: 50})()
+	defer Arm(5, Rule{Point: OwnerEnum, Kind: KindBudget, Every: 50})()
 	var wg sync.WaitGroup
 	var fired sync.Map
 	for g := 0; g < 8; g++ {
@@ -112,13 +112,13 @@ func TestConcurrentHitsRace(t *testing.T) {
 							fired.Store(g, true)
 						}
 					}()
-					Hit(PoolWorker)
+					Hit(OwnerEnum)
 				}()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := Hits(PoolWorker); got != 800 {
+	if got := Hits(OwnerEnum); got != 800 {
 		t.Errorf("Hits = %d, want 800", got)
 	}
 }

@@ -57,13 +57,6 @@ func TestShardedDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Vary the pool-solve worker count across the matrix so
-					// both the serial and the parallel pool paths are covered.
-					if n%2 == 0 {
-						r.Workers = 4
-					} else {
-						r.Workers = 1
-					}
 					for _, m := range matrix {
 						g := datagen.NewQueryGen(ds, eng.Inv, 0, 40, w.Seed+int64(m.cost)*17)
 						for i := 0; i < 3; i++ {

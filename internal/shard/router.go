@@ -192,9 +192,6 @@ type Router struct {
 	// Fanout bounds concurrent shard calls per query; 0 means all shards
 	// at once, 1 forces the deterministic serial schedule (shard order).
 	Fanout int
-	// Workers is the pool-solve parallelism, passed through to the
-	// per-query engine (core.Engine.Parallelism semantics).
-	Workers int
 	// NodeBudget caps the pool solve's search effort (core semantics).
 	NodeBudget int
 	// Degrade selects failure semantics. DegradeFail (default): any
@@ -717,7 +714,6 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		qids[i] = id
 	}
 	eng := core.NewEngine(ds, r.TreeFanout)
-	eng.Parallelism = r.Workers
 	eng.NodeBudget = r.NodeBudget
 	eng.Degrade = r.Degrade
 	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: kwds.NewSet(qids...)}, cost, method)
