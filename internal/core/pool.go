@@ -86,8 +86,7 @@ var ownerScratchPool = sync.Pool{New: func() any { return new(ownerScratch) }}
 func getOwnerScratch() *ownerScratch { return ownerScratchPool.Get().(*ownerScratch) }
 
 // putOwnerScratch returns s to the pool. Callers must be done with every
-// slice handed out of s — including snapshots held by worker goroutines —
-// before releasing it.
+// slice handed out of s before releasing it.
 func putOwnerScratch(s *ownerScratch) { ownerScratchPool.Put(s) }
 
 // caoScratch bundles Cao-Exact's reusable slices: the per-keyword
